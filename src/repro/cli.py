@@ -326,6 +326,11 @@ def _run_validate(args: argparse.Namespace) -> int:
     from repro.experiments.common import render_table
     from repro.sim.validation import validate_botnet
 
+    try:
+        import scipy.stats  # noqa: F401  (the checks import it lazily)
+    except ImportError:
+        print("validate needs scipy (`pip install repro[test]`)", file=sys.stderr)
+        return 2
     scenario = run_scenario(_scenario_config(args))
     results = validate_botnet(scenario.botnet)
     print("Statistical validation of the botnet generator:")

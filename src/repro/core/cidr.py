@@ -85,7 +85,7 @@ def intersection_count(past: Report, present: Report, prefix_len: int) -> int:
     """
     past_blocks = cidr_set(past, prefix_len)
     present_blocks = cidr_set(present, prefix_len)
-    return int(np.intersect1d(past_blocks, present_blocks).size)
+    return int(np.intersect1d(past_blocks, present_blocks, assume_unique=True).size)
 
 
 def intersection_counts(

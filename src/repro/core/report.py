@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.ipspace.addr import AddressLike, as_array, as_int, as_str
+from repro.ipspace.addr import AddressLike, as_array, as_int, as_str, unique_sorted
 from repro.ipspace.reserved import reserved_mask
 
 __all__ = ["ReportType", "DataClass", "Report"]
@@ -80,7 +80,7 @@ class Report:
             start, end = self.period
             if start > end:
                 raise ValueError(f"report period reversed: {start} > {end}")
-        arr = np.unique(as_array(self.addresses))
+        arr = unique_sorted(as_array(self.addresses))
         arr.setflags(write=False)
         object.__setattr__(self, "addresses", arr)
 
@@ -127,17 +127,17 @@ class Report:
 
     def union(self, other: "Report", tag: Optional[str] = None) -> "Report":
         """Addresses present in either report."""
-        merged = np.union1d(self.addresses, other.addresses)
+        merged = unique_sorted(np.concatenate((self.addresses, other.addresses)))
         return self._derive(merged, tag or f"{self.tag}|{other.tag}")
 
     def intersection(self, other: "Report", tag: Optional[str] = None) -> "Report":
         """Addresses present in both reports."""
-        common = np.intersect1d(self.addresses, other.addresses)
+        common = np.intersect1d(self.addresses, other.addresses, assume_unique=True)
         return self._derive(common, tag or f"{self.tag}&{other.tag}")
 
     def difference(self, other: "Report", tag: Optional[str] = None) -> "Report":
         """Addresses in this report that are not in ``other``."""
-        rest = np.setdiff1d(self.addresses, other.addresses)
+        rest = np.setdiff1d(self.addresses, other.addresses, assume_unique=True)
         return self._derive(rest, tag or f"{self.tag}-{other.tag}")
 
     def __or__(self, other: "Report") -> "Report":

@@ -56,15 +56,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-try:
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-POSIX
-    _resource = None  # type: ignore[assignment]
-
 from repro.core.report import DataClass, Report, ReportType
 from repro.core.trials import TrialEnsemble, is_batched, trial_seed
+from repro.ipspace.addr import unique_sorted
 from repro.ipspace.iana import allocated_octets
 from repro.ipspace.reserved import reserved_mask
+from repro.obs import _peak_rss_kb
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import warn_event
@@ -91,13 +88,6 @@ SHM_ENV = "REPRO_SHM"
 
 def _shm_enabled() -> bool:
     return os.environ.get(SHM_ENV, "").strip().lower() not in {"0", "false", "off"}
-
-
-def _peak_rss_kb() -> int:
-    """This process's lifetime peak resident set, in KB (0 if unknown)."""
-    if _resource is None:  # pragma: no cover - non-POSIX
-        return 0
-    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
 
 
 # -- shared-memory shipment ------------------------------------------------
@@ -270,7 +260,7 @@ def naive_sample(size: int, rng: np.random.Generator, tag: str = "naive") -> Rep
         chosen_octets = rng.choice(octets, size=need + 16)
         hosts = rng.integers(0, 1 << 24, size=need + 16, dtype=np.uint32)
         batch = (chosen_octets << np.uint32(24)) | hosts
-        seen = np.union1d(seen, batch[~reserved_mask(batch)])
+        seen = unique_sorted(np.concatenate((seen, batch[~reserved_mask(batch)])))
     if seen.size > size:
         seen = rng.choice(seen, size=size, replace=False)
     return Report(

@@ -55,6 +55,7 @@ from repro.engine.store import (
     default_store,
 )
 from repro.flows.generator import BorderTraffic, TrafficGenerator
+from repro.ipspace.addr import unique_sorted
 from repro.sim.botnet import BotnetSimulation
 from repro.sim.internet import SyntheticInternet
 from repro.sim.phishing import PhishingSimulation
@@ -168,7 +169,7 @@ def _bot_feed_addresses(cfg, botnet, monitor, rng) -> np.ndarray:
         ))
     if not parts:
         return np.asarray([], dtype=np.uint32)
-    return np.unique(np.concatenate(parts))
+    return unique_sorted(np.concatenate(parts))
 
 
 def _provided_reports(cfg, botnet, phishing, rng, reports) -> None:

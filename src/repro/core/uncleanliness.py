@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core import cidr as rcidr
 from repro.core.report import Report
-from repro.ipspace.addr import AddressLike
+from repro.ipspace.addr import AddressLike, unique_sorted
 from repro.ipspace.cidr import CIDRBlock, mask_address
 from repro.ipspace.cidr import mask_array as _mask
 
@@ -125,7 +125,7 @@ class UncleanlinessScorer:
         if not reports:
             raise ValueError("at least one report is required")
 
-        all_blocks = np.unique(
+        all_blocks = unique_sorted(
             np.concatenate(
                 [rcidr.cidr_set(report, self.prefix_len) for report in reports.values()]
             )
@@ -162,7 +162,8 @@ def block_jaccard(first: Report, second: Report, prefix_len: int) -> float:
     """
     a = rcidr.cidr_set(first, prefix_len)
     b = rcidr.cidr_set(second, prefix_len)
-    union = np.union1d(a, b).size
+    common = np.intersect1d(a, b, assume_unique=True).size
+    union = a.size + b.size - common
     if union == 0:
         return 0.0
-    return float(np.intersect1d(a, b).size / union)
+    return float(common / union)

@@ -24,6 +24,7 @@ import numpy as np
 from repro import obs
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol
+from repro.ipspace.addr import unique_sorted
 
 __all__ = ["IRC_PORTS", "SinkholeConfig", "SinkholeMonitor"]
 
@@ -61,7 +62,7 @@ class SinkholeMonitor:
             return self._detect(flows, sinkholes)
 
     def _detect(self, flows: FlowLog, sinkholes: Iterable[int]) -> np.ndarray:
-        sinkhole_arr = np.unique(np.asarray(list(sinkholes), dtype=np.uint32))
+        sinkhole_arr = unique_sorted(np.asarray(list(sinkholes), dtype=np.uint32))
         if sinkhole_arr.size == 0 or len(flows) == 0:
             return np.asarray([], dtype=np.uint32)
 

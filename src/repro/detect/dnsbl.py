@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.blocklist import Blocklist
 from repro.core.report import Report
-from repro.ipspace.addr import AddressLike, as_int
+from repro.ipspace.addr import AddressLike, as_int, unique_sorted
 
 __all__ = ["DNSBLQuery", "DNSBLServer"]
 
@@ -190,7 +190,7 @@ class DNSBLServer:
             return []
 
         # Distinct (querier, subject) pairs, grouped by querier.
-        pairs = np.unique((queriers << np.int64(32)) | subjects)
+        pairs = unique_sorted((queriers << np.int64(32)) | subjects)
         pair_querier = pairs >> np.int64(32)
         pair_subject = (pairs & np.int64(0xFFFFFFFF)).astype(np.uint32)
         hit = np.isin(pair_subject, later_hostile.addresses)

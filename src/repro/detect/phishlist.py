@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.ipspace.addr import unique_sorted
 from repro.sim.phishing import PhishingSimulation
 from repro.sim.timeline import Window
 
@@ -65,6 +66,6 @@ class PhishListAggregator:
             in_window = (listing_day >= window.start_day) & (
                 listing_day <= window.end_day
             )
-            listed = np.unique(phishing.address[reported & in_window])
+            listed = unique_sorted(phishing.address[reported & in_window])
         obs.metrics.inc("detect.phishlist.addresses", int(listed.size))
         return listed

@@ -43,6 +43,7 @@ from repro import obs
 from repro.flows.kernels import grouped_sum, pack64, segment_bounds
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
+from repro.ipspace.addr import unique_sorted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flows.chunked import ChunkedFlowLog
@@ -239,7 +240,7 @@ class ScanAggregates:
         mask = (target_counts >= config.min_targets) & (
             failed_fraction >= config.min_failed_fraction
         )
-        return np.unique(self.sources[mask]).astype(np.uint32)
+        return unique_sorted(self.sources[mask]).astype(np.uint32)
 
 
 class ScanDetector:
@@ -279,7 +280,7 @@ class ScanDetector:
             failed_fraction >= self.config.min_failed_fraction
         )
         flagged_sources = (pk[starts[flagged]] >> np.uint64(32)).astype(np.uint32)
-        return np.unique(flagged_sources)
+        return unique_sorted(flagged_sources)
 
     def detect_chunked(self, chunks: "Iterable[FlowLog]") -> np.ndarray:
         """Fold the detector over flow-log chunks without materialising.

@@ -28,6 +28,7 @@ import numpy as np
 from repro import obs
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol
+from repro.ipspace.addr import unique_sorted
 from repro.ipspace.kernels import merge_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -251,7 +252,7 @@ class SpamPartial:
             return parts[0]
 
         all_sources = np.concatenate([p.sources for p in parts])
-        union = np.unique(all_sources)
+        union = unique_sorted(all_sources)
         index = np.searchsorted(union, all_sources)
 
         def _sum(arrays, dtype) -> np.ndarray:

@@ -167,7 +167,9 @@ def run(config: Figure1Config = Figure1Config()) -> Figure1Result:
         traffic = generator.generate(week, traffic_rng)
         scanners = detector.detect(traffic.flows)
         unique_scanners.append(int(scanners.size))
-        addr_overlap.append(int(np.intersect1d(scanners, bot_report.addresses).size))
+        addr_overlap.append(int(np.intersect1d(
+            scanners, bot_report.addresses, assume_unique=True
+        ).size))
         scanner_blocks = lowcidr.unique_blocks(scanners, 24)
         in_blocks = lowcidr.contains(bot_report.addresses, scanner_blocks, 24)
         block_overlap.append(int(in_blocks.sum()))

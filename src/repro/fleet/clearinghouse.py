@@ -33,6 +33,7 @@ import numpy as np
 from repro.core import folds
 from repro.core.report import Report, ReportType
 from repro.core.uncleanliness import BlockScores, UncleanlinessScorer
+from repro.ipspace.addr import unique_sorted
 from repro.obs import metrics as obs_metrics
 
 log = logging.getLogger("repro.fleet.clearinghouse")
@@ -159,7 +160,7 @@ class Clearinghouse:
                 )
             raise KeyError(f"no available feed carries report tag {tag!r}")
         template = carriers[0].reports[tag]
-        merged = np.unique(
+        merged = unique_sorted(
             np.concatenate([feed.reports[tag].addresses for feed in carriers])
         )
         return Report(

@@ -59,6 +59,7 @@ from repro.engine.store import (
 )
 from repro.fleet.clearinghouse import Clearinghouse, FleetError, ShardFeed
 from repro.fleet.shard import FleetConfig, NetworkShard
+from repro.ipspace.addr import unique_sorted
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import warn_event
@@ -174,7 +175,7 @@ def synthetic_reports(
     out: Dict[str, Report] = {}
     for tag in feed_tags:
         size = 4096 if tag == "control" else 256
-        addresses = np.unique(
+        addresses = unique_sorted(
             rng.integers(1 << 24, 1 << 31, size=size, dtype=np.uint32)
         )
         out[tag] = Report(

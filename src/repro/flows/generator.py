@@ -54,6 +54,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.flows.log import COLUMN_DTYPES, FlowLog
 from repro.flows.record import Protocol, TCPFlags
+from repro.ipspace.addr import unique_sorted
 from repro.sim.botnet import BotnetSimulation
 from repro.sim.internet import SyntheticInternet
 from repro.sim.timeline import DAY_SECONDS, Window
@@ -426,7 +427,7 @@ class TrafficGenerator:
             if not todays:  # an all-quiet capture: no benign audience at all
                 previous = np.asarray([], dtype=np.uint32)
                 continue
-            clients = np.unique(np.concatenate(todays))
+            clients = unique_sorted(np.concatenate(todays))
             all_clients.append(clients)
             previous = clients
 
@@ -450,7 +451,7 @@ class TrafficGenerator:
             )
         if not all_clients:
             return np.asarray([], dtype=np.uint32)
-        return np.unique(np.concatenate(all_clients))
+        return unique_sorted(np.concatenate(all_clients))
 
     # -- hostile traffic --------------------------------------------------------------
 
@@ -491,7 +492,7 @@ class TrafficGenerator:
             start_time=start,
             end_time=start + 10.0,
         )
-        return np.unique(addresses)
+        return unique_sorted(addresses)
 
     def _quiet_probes(
         self,
@@ -549,7 +550,7 @@ class TrafficGenerator:
             start_time=start,
             end_time=start + 10.0,
         )
-        return np.unique(sources)
+        return unique_sorted(sources)
 
     def _slow_scans(
         self,
@@ -626,7 +627,7 @@ class TrafficGenerator:
             start_time=start,
             end_time=start + 30.0,
         )
-        return np.unique(sources)
+        return unique_sorted(sources)
 
     def sinkhole_addresses(self) -> np.ndarray:
         """Sinkhole address per sinkholed channel (inside the observed /8).
@@ -696,7 +697,7 @@ class TrafficGenerator:
             start_time=start,
             end_time=start + 60.0,
         )
-        return np.unique(sources)
+        return unique_sorted(sources)
 
     def _suspicious(
         self, window: Window, rng: np.random.Generator, chunks: _Chunks
@@ -709,7 +710,7 @@ class TrafficGenerator:
         count = self.config.suspicious_hosts
         if count == 0:
             return np.asarray([], dtype=np.uint32)
-        hosts = np.unique(
+        hosts = unique_sorted(
             self.internet.sample_hosts(
                 count, rng, self.internet.compromise_weights()
             )
@@ -718,4 +719,4 @@ class TrafficGenerator:
         shuffled = rng.permutation(hosts)
         slow = self._slow_scans(window, rng, chunks, shuffled[:half])
         ephemeral = self._ephemeral(window, rng, chunks, shuffled[half:])
-        return np.union1d(slow, ephemeral)
+        return unique_sorted(np.concatenate((slow, ephemeral)))

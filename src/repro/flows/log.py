@@ -19,6 +19,7 @@ from repro.flows.record import (
     Protocol,
     TCPFlags,
 )
+from repro.ipspace.addr import unique_sorted
 
 __all__ = ["FlowLog", "FlowBatch", "COLUMN_DTYPES"]
 
@@ -239,11 +240,11 @@ class FlowLog:
 
     def unique_sources(self) -> np.ndarray:
         """Sorted unique source addresses."""
-        return np.unique(self.src_addr)
+        return unique_sorted(self.src_addr)
 
     def unique_destinations(self) -> np.ndarray:
         """Sorted unique destination addresses."""
-        return np.unique(self.dst_addr)
+        return unique_sorted(self.dst_addr)
 
     def fanout_by_source(self) -> Dict[int, int]:
         """Distinct destination count per source address."""
@@ -257,7 +258,7 @@ class FlowLog:
 
     def payload_bearing_sources(self) -> np.ndarray:
         """Sorted unique sources with at least one payload-bearing flow."""
-        return np.unique(self.src_addr[self.payload_bearing_mask()])
+        return unique_sorted(self.src_addr[self.payload_bearing_mask()])
 
     def __repr__(self) -> str:
         return f"FlowLog(flows={len(self)})"

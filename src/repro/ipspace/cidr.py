@@ -21,6 +21,7 @@ from repro.ipspace.addr import (
     as_str,
     block_size,
     prefix_mask,
+    unique_sorted,
 )
 
 __all__ = [
@@ -145,7 +146,7 @@ def unique_blocks(addresses: Iterable[AddressLike], prefix_len: int) -> np.ndarr
 
     ``addresses`` may be an address array/iterable or a report.
     """
-    return np.unique(mask_array(addresses, prefix_len))
+    return unique_sorted(mask_array(addresses, prefix_len))
 
 
 def block_count(addresses: Iterable[AddressLike], prefix_len: int) -> int:

@@ -34,7 +34,13 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.ipspace.addr import AddressLike, as_array, as_int, prefix_mask
+from repro.ipspace.addr import (
+    AddressLike,
+    as_array,
+    as_int,
+    prefix_mask,
+    unique_sorted,
+)
 from repro.ipspace.cidr import CIDRBlock
 
 __all__ = [
@@ -107,7 +113,7 @@ class PrefixTable:
         The heterogeneous analogue of :math:`|C_n(S)|`.
         """
         matches = self.lookup_array(addresses)
-        return int(np.unique(matches[matches >= 0]).size)
+        return int(unique_sorted(matches[matches >= 0]).size)
 
     def cluster_sizes(self) -> np.ndarray:
         """Address-span of every prefix (the dispersion the paper flags)."""
@@ -141,7 +147,7 @@ def synthesize_table(
     if not 0 <= deaggregation_probability <= 1:
         raise ValueError("deaggregation_probability must be in [0, 1]")
 
-    slash16s = np.unique(internet.net24 & np.uint32(prefix_mask(16)))
+    slash16s = unique_sorted(internet.net24 & np.uint32(prefix_mask(16)))
     prefixes: List[CIDRBlock] = []
 
     def announce(network: int, length: int) -> None:

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.ipspace.addr import AddressLike, as_array
+from repro.ipspace.addr import AddressLike, as_array, unique_sorted
 from repro.ipspace.cidr import mask_array
 
 __all__ = ["StructureProfile", "profile_addresses"]
@@ -132,7 +132,7 @@ def profile_addresses(
     prefixes: Sequence[int] = DEFAULT_PREFIXES,
 ) -> StructureProfile:
     """Profile the aggregation structure of an address set."""
-    arr = np.unique(as_array(addresses))
+    arr = unique_sorted(as_array(addresses))
     if arr.size == 0:
         raise ValueError("cannot profile an empty address set")
     prefixes = tuple(sorted(prefixes))

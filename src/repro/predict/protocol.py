@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.report import Report
 from repro.engine.fingerprint import fingerprint as _fingerprint
-from repro.ipspace.addr import AddressLike
+from repro.ipspace.addr import AddressLike, unique_sorted
 from repro.ipspace.cidr import CIDRBlock, mask_address
 from repro.sim.timeline import Window, day_to_date
 
@@ -265,7 +265,7 @@ class BasePredictor:
         self._require_fitted()
         if self._training_addresses is None:
             arrays = [report.addresses for _, report in self._training]
-            union = arrays[0] if len(arrays) == 1 else np.unique(
+            union = arrays[0] if len(arrays) == 1 else unique_sorted(
                 np.concatenate(arrays)
             )
             self._training_addresses = union

@@ -46,7 +46,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.ipspace.addr import block_size
+from repro.ipspace.addr import block_size, unique_sorted
 from repro.ipspace.cidr import mask_array
 from repro.predict.protocol import BasePredictor, BlockRanking
 
@@ -130,7 +130,7 @@ class RecommenderPredictor(BasePredictor):
             masked = mask_array(training[tag].addresses, prefix_len)
             feed_blocks, counts = np.unique(masked, return_counts=True)
             per_feed.append((feed_blocks, counts))
-        blocks = np.unique(np.concatenate([fb for fb, _ in per_feed]))
+        blocks = unique_sorted(np.concatenate([fb for fb, _ in per_feed]))
         matrix = np.zeros((len(tags), blocks.size), dtype=np.float64)
         for row, (tag, (feed_blocks, counts)) in enumerate(zip(tags, per_feed)):
             idx = np.searchsorted(blocks, feed_blocks)

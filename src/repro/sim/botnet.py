@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.engine.fingerprint import addendum_field
+from repro.ipspace.addr import unique_sorted
 from repro.sim.internet import SyntheticInternet
 from repro.sim.timeline import Window
 
@@ -141,7 +142,7 @@ class BotnetSimulation:
         if dynamics is not None and dynamics.config.horizon_days < config.horizon_days:
             raise ValueError("dynamics horizon shorter than botnet horizon")
         self.avoided_blocks = (
-            np.unique(np.asarray(avoided_blocks, dtype=np.uint32))
+            unique_sorted(np.asarray(avoided_blocks, dtype=np.uint32))
             if avoided_blocks is not None
             else None
         )
@@ -205,7 +206,7 @@ class BotnetSimulation:
             self.start_day = self._draw_start_days(total, rng)
             epoch_days = self.dynamics.config.epoch_days
             epochs = self.start_day // epoch_days
-            for epoch in np.unique(epochs):
+            for epoch in unique_sorted(epochs):
                 members = np.nonzero(epochs == epoch)[0]
                 weights = self._apply_evasion(
                     self.dynamics.compromise_weights(
@@ -322,7 +323,7 @@ class BotnetSimulation:
             mask &= self.is_scanner
         if spammers_only:
             mask &= self.is_spammer
-        return np.unique(self.address[mask])
+        return unique_sorted(self.address[mask])
 
     def channel_members(self, channel: int, window: Window) -> np.ndarray:
         """C&C channel membership during ``window`` (the IRC-feed view)."""

@@ -42,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.engine.fingerprint import addendum_field
-from repro.ipspace.addr import as_int
+from repro.ipspace.addr import as_int, unique_sorted
 from repro.ipspace.cidr import CIDRBlock
 from repro.ipspace.iana import allocated_octets
 from repro.ipspace.reserved import reserved_mask
@@ -162,7 +162,7 @@ class SyntheticInternet:
         octet_weights = rng.dirichlet(np.full(octets.size, 0.5))
         slash16_octets = rng.choice(octets, size=cfg.num_slash16 * 2, p=octet_weights)
         slash16_seconds = rng.integers(0, 256, size=cfg.num_slash16 * 2, dtype=np.uint32)
-        slash16 = np.unique(
+        slash16 = unique_sorted(
             (slash16_octets << np.uint32(24)) | (slash16_seconds << np.uint32(16))
         )[: cfg.num_slash16]
 
@@ -425,7 +425,7 @@ class SyntheticInternet:
             if need <= 0:
                 break
             batch = self.sample_hosts(max(need * 2, 64), rng, weights)
-            seen = np.union1d(seen, batch)
+            seen = unique_sorted(np.concatenate((seen, batch)))
         if seen.size < count:
             raise RuntimeError("unique host sampling did not converge")
         return rng.choice(seen, size=count, replace=False)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ipspace.addr import unique_sorted
 from repro.sim.internet import SyntheticInternet
 from repro.sim.timeline import Window
 
@@ -100,7 +101,7 @@ class PhishingSimulation:
 
     def active_addresses(self, window: Window) -> np.ndarray:
         """Unique addresses hosting a live phishing site during ``window``."""
-        return np.unique(self.address[self.active_mask(window)])
+        return unique_sorted(self.address[self.active_mask(window)])
 
     def __repr__(self) -> str:
         return f"PhishingSimulation(sites={self.num_sites})"

@@ -273,8 +273,12 @@ class IncrementalState:
             self.config.window,
         ).addresses
         spam_before = self._addresses["spam"]
-        spam_added = np.setdiff1d(spam_now, spam_before).astype(np.uint32)
-        spam_removed = np.setdiff1d(spam_before, spam_now).astype(np.uint32)
+        spam_added = np.setdiff1d(
+            spam_now, spam_before, assume_unique=True
+        ).astype(np.uint32)
+        spam_removed = np.setdiff1d(
+            spam_before, spam_now, assume_unique=True
+        ).astype(np.uint32)
         self._addresses["spam"] = spam_now
         fresh["spam"] = spam_added
 

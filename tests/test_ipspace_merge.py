@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.report import Report
 from repro.core.trials import TrialEnsemble
+from repro.ipspace.addr import unique_sorted
 from repro.ipspace.kernels import (
     block_counts_2d,
     block_counts_2d_merge,
@@ -99,6 +101,74 @@ class TestMergeUnique:
         assert np.array_equal(merged, b)
         assert merged is not b
         assert fresh.all()
+
+
+_DTYPE_RANGES = {
+    np.dtype(np.uint32): (0, 2**32 - 1),
+    np.dtype(np.int64): (-(2**63), 2**63 - 1),
+    np.dtype(np.uint64): (0, 2**64 - 1),
+}
+
+_LAYOUTS = ("random", "canonical", "reversed", "duplicated", "all-equal")
+
+
+@st.composite
+def integer_arrays(draw):
+    """Integer arrays of every layout the kernel special-cases."""
+    dtype = draw(st.sampled_from(sorted(_DTYPE_RANGES, key=str)))
+    low, high = _DTYPE_RANGES[dtype]
+    values = draw(st.lists(st.integers(low, high), max_size=40))
+    arr = np.asarray(values, dtype=dtype)
+    layout = draw(st.sampled_from(_LAYOUTS))
+    if layout == "canonical":
+        arr = np.unique(arr)
+    elif layout == "reversed":
+        arr = np.sort(arr)[::-1]
+    elif layout == "duplicated":
+        arr = np.concatenate([arr, arr[::2]])
+    elif layout == "all-equal" and arr.size:
+        arr = np.full(arr.size, arr[0], dtype=dtype)
+    return arr
+
+
+class TestUniqueSorted:
+    @given(integer_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, values):
+        result = unique_sorted(values)
+        expected = np.unique(values)
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)
+
+    @given(integer_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_never_shares_memory_with_input(self, values):
+        assert not np.shares_memory(unique_sorted(values), values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3, 3, 3], [1, 2, 9], [9, 2, 1], [5, 1, 5, 0, 1]],
+        ids=["empty", "one", "all-duplicate", "canonical", "reversed", "mixed"],
+    )
+    def test_edge_cases(self, values):
+        arr = np.asarray(values, dtype=np.uint32)
+        result = unique_sorted(arr)
+        assert result.dtype == np.uint32
+        assert np.array_equal(result, np.unique(arr))
+        assert not np.shares_memory(result, arr)
+
+    def test_input_stays_writable_after_report(self):
+        canonical = np.asarray([1, 2, 3], dtype=np.uint32)
+        report = Report(tag="r", addresses=canonical)
+        assert canonical.flags.writeable
+        assert not report.addresses.flags.writeable
+        canonical[0] = 0  # the report keeps its own copy
+        assert report.addresses[0] == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_input_raises(self, dtype):
+        with pytest.raises(TypeError, match="integer"):
+            unique_sorted(np.asarray([1.0, np.nan], dtype=dtype))
 
 
 class TestRemoveSorted:
