@@ -11,7 +11,7 @@ cap.  Success requires both surviving the ulimit and reproducing the
 in-memory flagged sets bit for bit.
 
 The headroom budgets the fold's real transient state (per-chunk columns
-plus partial aggregates, ~190 MB traced for the scan fold at full
+plus partial aggregates, ~175 MB traced for the scan fold at full
 scale) with margin for allocator slack; a regression that materialises
 the window inside the fold, or accumulates every chunk's partial, blows
 through it and the leg fails with ``MemoryError``.

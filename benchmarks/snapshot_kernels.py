@@ -2,7 +2,7 @@
 """Record kernel throughput to ``BENCH_kernels.json`` (and guard it).
 
 Times the vectorized hot paths (traffic-stage cold build, TRW walk and
-detect, scan detect and its row-table reference) directly — no artifact
+detect, scan detect and its row-table reference, spam detect) directly — no artifact
 engine, so every build is genuinely cold — and writes flows/sec and
 events/sec to a JSON snapshot at the repo root.  At ``--scale full``
 the snapshot also embeds the PR-1 loop-based timings (measured on the
@@ -19,10 +19,15 @@ Two chunked sections cover the out-of-core layer:
   doubles; the fold's peak traced allocation must not (it is bounded by
   chunk size plus per-pair state, which repetition keeps constant).
 
+``scan_detect.peak_traced_mb`` is the tracemalloc peak of one in-memory
+scan detect over the resident window (the log itself is allocated
+before tracing starts, so this is the kernel's own working set).
+
 ``--guard`` exits non-zero when the ``scan_detect`` speedups fall below
 their floors (5x over the 5.06s loop baseline at full scale; 4x/1.2x
-over the row-table reference at full/small scale) or when the chunked
-fold's peak memory grows with window length.
+over the row-table reference at full/small scale), when the scan
+kernel's traced peak exceeds ``SCAN_PEAK_BYTES_PER_FLOW_CEILING``, or
+when the chunked fold's peak memory grows with window length.
 
 Usage::
 
@@ -68,6 +73,10 @@ LOOP_BASELINES_FULL = {
 #: ``--guard`` floors and ceilings.
 SCAN_SPEEDUP_FLOOR_FULL = 5.0  # vs the 5.06s loop baseline
 SCAN_VS_REFERENCE_FLOORS = {"full": 4.0, "small": 1.2}
+#: Traced peak of one in-memory scan detect, in bytes per window flow.
+#: The in-place packed-key kernel measures ~42; the lexsort kernel it
+#: replaced measured 76.
+SCAN_PEAK_BYTES_PER_FLOW_CEILING = 64
 #: Folding a 2x-length window of repeating traffic may grow the fold's
 #: peak allocation by at most this factor (the log itself grows ~2x).
 CHUNKED_PEAK_GROWTH_CEILING = 1.6
@@ -108,15 +117,20 @@ def _repeating_flows(days: int, per_day: int) -> FlowLog:
     return FlowLog(start_time=start, end_time=start + 1.0, **columns)
 
 
-def _traced_fold(detector, chunked):
-    """(seconds, peak_traced_bytes, flagged) of one chunked fold."""
+def _traced(fn):
+    """(seconds, peak_traced_bytes, result) of one traced call."""
     tracemalloc.start()
     started = time.perf_counter()
-    flagged = detector.detect_chunked(chunked)
+    result = fn()
     seconds = time.perf_counter() - started
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return seconds, peak, flagged
+    return seconds, peak, result
+
+
+def _traced_fold(detector, chunked):
+    """(seconds, peak_traced_bytes, flagged) of one chunked fold."""
+    return _traced(lambda: detector.detect_chunked(chunked))
 
 
 def bench_chunked_fold(traffic, tmp_dir: str) -> dict:
@@ -255,11 +269,14 @@ def main(argv=None) -> int:
     seconds, detected = best_of(
         lambda: scan_detector.detect(traffic.flows), args.repeats
     )
+    _, scan_peak, _ = _traced(lambda: scan_detector.detect(traffic.flows))
     sections["scan_detect"] = {
         "seconds": round(seconds, 4),
         "flows": flows,
         "flows_per_sec": round(flows / seconds),
         "sources_flagged": int(detected.size),
+        "peak_traced_mb": round(scan_peak / 1e6, 1),
+        "peak_traced_bytes_per_flow": round(scan_peak / flows, 1),
     }
 
     reference_seconds, reference_detected = best_of(
@@ -271,6 +288,17 @@ def main(argv=None) -> int:
     sections["scan_detect"]["speedup_vs_reference"] = round(
         reference_seconds / sections["scan_detect"]["seconds"], 2
     )
+
+    spam_detector = SpamDetector()
+    seconds, detected = best_of(
+        lambda: spam_detector.detect(traffic.flows), args.repeats
+    )
+    sections["spam_detect"] = {
+        "seconds": round(seconds, 4),
+        "flows": flows,
+        "flows_per_sec": round(flows / seconds),
+        "sources_flagged": int(detected.size),
+    }
 
     with tempfile.TemporaryDirectory() as tmp_dir:
         sections["chunked_fold"] = bench_chunked_fold(traffic, tmp_dir)
@@ -327,6 +355,11 @@ def main(argv=None) -> int:
         failed.append(
             f"scan_detect: {scan['speedup_vs_reference']}x over "
             f"detect_reference < required {reference_floor}x"
+        )
+    if scan["peak_traced_bytes_per_flow"] > SCAN_PEAK_BYTES_PER_FLOW_CEILING:
+        failed.append(
+            f"scan_detect: traced peak {scan['peak_traced_bytes_per_flow']} "
+            f"B/flow > ceiling {SCAN_PEAK_BYTES_PER_FLOW_CEILING} B/flow"
         )
     if scaling["peak_growth"] > CHUNKED_PEAK_GROWTH_CEILING:
         failed.append(

@@ -159,15 +159,28 @@ def prediction_test_blocks(
     """Assemble a :class:`PredictionResult` for arbitrary predicted blocks.
 
     The predictor-generic half of the §5 test: ``predicted_blocks[i]``
-    is any model's sorted predicted block set at ``prefixes[i]``,
+    is any model's predicted block set at ``prefixes[i]``,
     ``present_blocks[i]`` the present report's blocks, and
     ``control_values`` the null distribution from
     :func:`control_intersection_distribution` (shareable across
     models).  Pure comparison — no sampling, no RNG.
+
+    Every block set must be sorted and distinct (strictly increasing),
+    as :func:`repro.core.cidr.cidr_set` and
+    :class:`repro.predict.protocol.BlockRanking` produce them; that is
+    checked in O(n) and a violation raises :class:`ValueError`, so the
+    intersections can skip numpy's dedup pass.
     """
     prefixes = tuple(prefixes)
+    for n, predicted, blocks in zip(prefixes, predicted_blocks, present_blocks):
+        for side, values in (("predicted", predicted), ("present", blocks)):
+            values = np.asarray(values)
+            if values.size > 1 and not bool((values[1:] > values[:-1]).all()):
+                raise ValueError(
+                    f"{side} blocks at /{n} must be sorted and distinct"
+                )
     observed = {
-        n: int(np.intersect1d(predicted, blocks).size)
+        n: int(np.intersect1d(predicted, blocks, assume_unique=True).size)
         for n, predicted, blocks in zip(
             prefixes, predicted_blocks, present_blocks
         )

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.flows.kernels import distinct_per_group, pack64, repeat_offsets
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
 
@@ -51,17 +52,17 @@ def extract_features(flows: FlowLog) -> Tuple[np.ndarray, np.ndarray]:
 
     sources, inverse = np.unique(tcp.src_addr, return_inverse=True)
     count = sources.size
-    flow_totals = np.bincount(inverse, minlength=count).astype(np.float64)
+    flow_counts = np.bincount(inverse, minlength=count)
+    flow_totals = flow_counts.astype(np.float64)
 
     # Distinct destinations / destination-/24s per source.
-    pair_dst = np.unique(
-        np.stack([inverse, tcp.dst_addr.astype(np.int64)], axis=1), axis=0
+    starts = repeat_offsets(flow_counts)[:-1]
+    fanout = distinct_per_group(pack64(inverse, tcp.dst_addr), starts).astype(
+        np.float64
     )
-    fanout = np.bincount(pair_dst[:, 0], minlength=count).astype(np.float64)
-    pair_net = np.unique(
-        np.stack([inverse, (tcp.dst_addr >> 8).astype(np.int64)], axis=1), axis=0
-    )
-    net_fanout = np.bincount(pair_net[:, 0], minlength=count).astype(np.float64)
+    net_fanout = distinct_per_group(
+        pack64(inverse, tcp.dst_addr >> 8), starts
+    ).astype(np.float64)
 
     failed = np.bincount(
         inverse,

@@ -13,15 +13,18 @@ touch fewer than ~30 addresses per day never accumulate enough fan-out in
 an hour and land in the unknown class of §6 rather than the scan report.
 
 Evaluation is a columnar kernel: the ``(source, hour)`` group key packs
-into one ``uint64`` (:func:`repro.flows.kernels.pack64`), a single
-``np.lexsort`` over ``(packed pair, destination)`` orders the whole
-window, and fan-out / failed-flow counts fall out of run boundaries and
-``np.add.reduceat`` — no row-table ``np.unique(axis=0)`` passes.  Failed
-flows are counted in pure integers (a grouped sum of the no-ACK mask), so
-there is no float ``weights=`` path and the two per-pair tables are one
-table by construction.  :meth:`ScanDetector.detect_reference` retains the
-original row-table formulation as the semantic reference the property
-tests pin the kernel to.
+into one ``uint64`` (:func:`repro.flows.kernels.pack64`), one
+``np.argsort`` of that key forms the groups, and flow / failed-flow
+counts are grouped sums over the run boundaries.  The sorted key array
+is then reused in place as ``(group id << 32) | destination``
+(:func:`repro.flows.kernels.regroup`) and sorted in place, so distinct
+destinations per group are a neighbour-diff count
+(:func:`repro.flows.kernels.distinct_per_group`) — no ``np.lexsort``
+and no row-table ``np.unique(axis=0)``.  Every count is an exact
+integer, so there is no float ``weights=`` path.
+:meth:`ScanDetector.detect_reference` retains the original row-table
+formulation as the semantic reference the property tests pin the
+kernel to.
 
 :class:`ScanAggregates` is the mergeable partial-aggregate form of the
 same computation: per-``(source, hour)`` flow/failure totals plus the
@@ -35,12 +38,20 @@ and triple dedup commutes with set union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.flows.kernels import grouped_sum, pack64, segment_bounds
+from repro.flows.kernels import (
+    distinct_per_group,
+    grouped_sum,
+    pack64,
+    regroup,
+    segment_bounds,
+    sort_unique,
+    unpack64,
+)
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
 from repro.ipspace.addr import unique_sorted
@@ -70,32 +81,51 @@ class ScanDetectorConfig:
             raise ValueError("min_failed_fraction must be in [0, 1]")
 
 
-def _tcp_columns(
-    flows: FlowLog,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four columns the detector reads, masked to TCP only.
+class _PairGroups(NamedTuple):
+    """A window's TCP flows grouped by ``(source, hour)``."""
 
-    Column-level masking instead of :meth:`FlowLog.select` avoids copying
-    the six columns the detector never touches.
+    pairs: np.ndarray  # uint64: sorted distinct packed (source, hour - base)
+    base: int  # hour the packed hours are rebased to
+    flow_totals: np.ndarray  # int64: TCP flows per pair
+    failed_totals: np.ndarray  # int64: no-ACK flows per pair
+    starts: np.ndarray  # int64: where each pair's run begins in ``keys``
+    keys: np.ndarray  # uint64: (pair id << 32) | destination, one per flow
+
+
+def _pair_groups(flows: FlowLog) -> Optional[_PairGroups]:
+    """Group the TCP flows of ``flows`` by ``(source, hour)``.
+
+    One ``np.argsort`` of the packed pair key forms the groups; its
+    within-group order is irrelevant, since every per-pair output is a
+    sum or a set.  Hours are rebased to the window minimum so any real
+    capture packs (the rebased span would only overflow after ~490,000
+    years of traffic, which :func:`pack64` turns into a loud error
+    rather than key aliasing).  Column-level masking instead of
+    :meth:`FlowLog.select` avoids copying the columns the detector never
+    reads, and each temporary is dropped as soon as the next is built,
+    so the peak stays a few ``uint64`` columns.  ``None`` when the
+    window has no TCP flows.
     """
     tcp = flows.protocol == Protocol.TCP
-    src = flows.src_addr[tcp]
-    dst = flows.dst_addr[tcp]
-    hours = (flows.start_time[tcp] // _HOUR_SECONDS).astype(np.int64)
-    no_ack = (flows.tcp_flags[tcp] & TCPFlags.ACK) == 0
-    return src, dst, hours, no_ack
+    hours = flows.start_time[tcp]
+    if hours.size == 0:
+        return None
+    np.floor_divide(hours, _HOUR_SECONDS, out=hours)
+    hours = hours.astype(np.int64)
+    base = int(hours.min())
+    hours -= base
+    pair_key = pack64(flows.src_addr[tcp], hours)
+    del hours
 
-
-def _pair_keys(src: np.ndarray, hours: np.ndarray) -> Tuple[np.ndarray, int]:
-    """``(source, hour)`` packed into sortable ``uint64`` keys.
-
-    Hours are rebased to the window minimum so any real capture packs
-    (the rebased span would only overflow after ~490,000 years of
-    traffic, which :func:`pack64` turns into a loud error rather than
-    key aliasing).  Returns the keys and the hour base for unpacking.
-    """
-    base = int(hours.min()) if hours.size else 0
-    return pack64(src, hours - base), base
+    order = np.argsort(pair_key)
+    pair_key = pair_key[order]
+    starts, totals = segment_bounds(pair_key)
+    no_ack = (flows.tcp_flags[tcp][order] & TCPFlags.ACK) == 0
+    failed = grouped_sum(no_ack, starts)
+    del no_ack
+    pairs = pair_key[starts]
+    keys = regroup(pair_key, starts, flows.dst_addr[tcp][order])
+    return _PairGroups(pairs, base, totals, failed, starts, keys)
 
 
 @dataclass(frozen=True)
@@ -129,39 +159,43 @@ class ScanAggregates:
         )
 
     @classmethod
-    def from_flows(cls, flows: FlowLog) -> "ScanAggregates":
-        """Aggregate any span of flows (one lexsort, grouped counts)."""
-        src, dst, hours, no_ack = _tcp_columns(flows)
-        if src.size == 0:
-            return cls.empty()
-        pair_key, base = _pair_keys(src, hours)
-
-        order = np.lexsort((dst, pair_key))
-        pk = pair_key[order]
-        dk = dst[order]
-        starts, _ = segment_bounds(pk)
-
-        failed = grouped_sum(no_ack[order], starts)
-        totals = np.diff(np.append(starts, pk.size))
-
-        # A triple's first occurrence in (pair, dst) order marks one
-        # distinct destination of its pair.
-        first_triple = np.empty(pk.size, dtype=bool)
-        first_triple[0] = True
-        first_triple[1:] = (pk[1:] != pk[:-1]) | (dk[1:] != dk[:-1])
-        triple_at = np.flatnonzero(first_triple)
-
-        pair_pk = pk[starts]
-        triple_pk = pk[triple_at]
+    def _from_tables(
+        cls,
+        pairs: np.ndarray,
+        base: int,
+        flow_totals: np.ndarray,
+        failed_totals: np.ndarray,
+        triples: np.ndarray,
+    ) -> "ScanAggregates":
+        """Unpack sorted pair keys and ``(pair id << 32) | dst`` triples."""
+        sources, hours = unpack64(pairs, base)
+        # Not unpack64(triples): holding both of its triple-length halves
+        # at once raises the chunked fold's peak by ~17 MB at full scale.
+        triple_sources, triple_hours = unpack64(
+            pairs[triples >> np.uint64(32)], base
+        )
         return cls(
-            sources=(pair_pk >> np.uint64(32)).astype(np.uint32),
-            hours=(pair_pk & np.uint64(0xFFFFFFFF)).astype(np.int64) + base,
-            flow_totals=totals.astype(np.int64),
-            failed_totals=failed.astype(np.int64),
-            triple_sources=(triple_pk >> np.uint64(32)).astype(np.uint32),
-            triple_hours=(triple_pk & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            + base,
-            triple_dsts=dk[triple_at].astype(np.uint32),
+            sources=sources,
+            hours=hours,
+            flow_totals=flow_totals,
+            failed_totals=failed_totals,
+            triple_sources=triple_sources,
+            triple_hours=triple_hours,
+            triple_dsts=(triples & np.uint64(0xFFFFFFFF)).astype(np.uint32),
+        )
+
+    @classmethod
+    def from_flows(cls, flows: FlowLog) -> "ScanAggregates":
+        """Aggregate any span of flows (one argsort, grouped counts)."""
+        groups = _pair_groups(flows)
+        if groups is None:
+            return cls.empty()
+        return cls._from_tables(
+            groups.pairs,
+            groups.base,
+            groups.flow_totals,
+            groups.failed_totals,
+            sort_unique(groups.keys),
         )
 
     @property
@@ -197,31 +231,30 @@ class ScanAggregates:
         keys = np.concatenate([pack64(p.sources, p.hours - base) for p in parts])
         totals = np.concatenate([p.flow_totals for p in parts])
         failed = np.concatenate([p.failed_totals for p in parts])
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys = keys[order]
         starts, _ = segment_bounds(keys)
-        pair_pk = keys[starts]
+        pairs = keys[starts]
 
-        tri_keys = np.concatenate(
-            [pack64(p.triple_sources, p.triple_hours - base) for p in parts]
+        # Every triple's pair is in the merged pair table, so its
+        # searchsorted position is its pair id.
+        triples = np.concatenate(
+            [
+                pack64(
+                    np.searchsorted(
+                        pairs, pack64(p.triple_sources, p.triple_hours - base)
+                    ),
+                    p.triple_dsts,
+                )
+                for p in parts
+            ]
         )
-        tri_dsts = np.concatenate([p.triple_dsts for p in parts])
-        tri_order = np.lexsort((tri_dsts, tri_keys))
-        tk = tri_keys[tri_order]
-        td = tri_dsts[tri_order]
-        keep = np.empty(tk.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (tk[1:] != tk[:-1]) | (td[1:] != td[:-1])
-
-        return cls(
-            sources=(pair_pk >> np.uint64(32)).astype(np.uint32),
-            hours=(pair_pk & np.uint64(0xFFFFFFFF)).astype(np.int64) + base,
-            flow_totals=grouped_sum(totals[order], starts),
-            failed_totals=grouped_sum(failed[order], starts),
-            triple_sources=(tk[keep] >> np.uint64(32)).astype(np.uint32),
-            triple_hours=(tk[keep] & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            + base,
-            triple_dsts=td[keep].astype(np.uint32),
+        return cls._from_tables(
+            pairs,
+            base,
+            grouped_sum(totals[order], starts),
+            grouped_sum(failed[order], starts),
+            sort_unique(triples),
         )
 
     def flagged(self, config: ScanDetectorConfig) -> np.ndarray:
@@ -256,31 +289,18 @@ class ScanDetector:
             return self._detect(flows)
 
     def _detect(self, flows: FlowLog) -> np.ndarray:
-        """The packed-key kernel: one lexsort, grouped integer counts."""
-        src, dst, hours, no_ack = _tcp_columns(flows)
-        if src.size == 0:
+        """The packed-key kernel: one argsort, one in-place sort."""
+        groups = _pair_groups(flows)
+        if groups is None:
             return np.asarray([], dtype=np.uint32)
-        pair_key, _ = _pair_keys(src, hours)
-
-        order = np.lexsort((dst, pair_key))
-        pk = pair_key[order]
-        dk = dst[order]
-        starts, _ = segment_bounds(pk)
-
-        flow_totals = np.diff(np.append(starts, pk.size))
-        failed_totals = grouped_sum(no_ack[order], starts)
-
-        first_triple = np.empty(pk.size, dtype=bool)
-        first_triple[0] = True
-        first_triple[1:] = (pk[1:] != pk[:-1]) | (dk[1:] != dk[:-1])
-        target_counts = grouped_sum(first_triple, starts)
-
-        failed_fraction = failed_totals / np.maximum(flow_totals, 1)
+        target_counts = distinct_per_group(groups.keys, groups.starts)
+        failed_fraction = groups.failed_totals / np.maximum(groups.flow_totals, 1)
         flagged = (target_counts >= self.config.min_targets) & (
             failed_fraction >= self.config.min_failed_fraction
         )
-        flagged_sources = (pk[starts[flagged]] >> np.uint64(32)).astype(np.uint32)
-        return unique_sorted(flagged_sources)
+        return unique_sorted(
+            (groups.pairs[flagged] >> np.uint64(32)).astype(np.uint32)
+        )
 
     def detect_chunked(self, chunks: "Iterable[FlowLog]") -> np.ndarray:
         """Fold the detector over flow-log chunks without materialising.

@@ -16,16 +16,33 @@ flow data alone (NetFlow has no payload):
 * message size regularity: the coefficient of variation of flow sizes at
   or below ``max_size_cv`` (template mail bodies are near-uniform, human
   mail is not).
+
+Both aggregate forms share one columnar pass: the SMTP deliveries are
+masked column by column, per-source sums are ``bincount``s over the
+source index, and each delivery's ``(source index, day)`` pair packs
+into one ``uint64`` key (:func:`repro.flows.kernels.pack64`).  Active
+days per source are the distinct keys per source after one in-place
+sort (:func:`repro.flows.kernels.distinct_per_group`); the any-split
+:class:`SpamPartial` keeps the distinct keys themselves
+(:func:`repro.flows.kernels.sort_unique`).  No ``np.lexsort`` and no
+row-table ``np.unique(axis=0)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro import obs
+from repro.flows.kernels import (
+    distinct_per_group,
+    pack64,
+    repeat_offsets,
+    sort_unique,
+    unpack64,
+)
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol
 from repro.ipspace.addr import unique_sorted
@@ -60,6 +77,49 @@ class SpamDetectorConfig:
             raise ValueError("min_daily_rate must be positive")
         if self.max_size_cv <= 0:
             raise ValueError("max_size_cv must be positive")
+
+
+class _Deliveries(NamedTuple):
+    """The SMTP deliveries of a span of flows, reduced per source."""
+
+    sources: np.ndarray  # sorted unique uint32
+    messages: np.ndarray  # int64: deliveries per source
+    size_sums: np.ndarray  # float64 (exact)
+    size_sq_sums: np.ndarray  # float64 (exact)
+    day_keys: np.ndarray  # uint64: (source index << 32) | (day - base)
+    base: int  # day the packed days are rebased to
+
+
+def _deliveries(flows: FlowLog) -> Optional[_Deliveries]:
+    """Per-source SMTP sums and every delivery's packed day key.
+
+    Columns are masked one at a time rather than through
+    :meth:`FlowLog.select`, which would copy all ten.  ``None`` when the
+    span holds no payload-bearing port-25 TCP flow.
+    """
+    smtp = (
+        (flows.protocol == Protocol.TCP)
+        & (flows.dst_port == _SMTP_PORT)
+        & flows.payload_bearing_mask()
+    )
+    src = flows.src_addr[smtp]
+    if src.size == 0:
+        return None
+    sources, inverse = np.unique(src, return_inverse=True)
+    sizes = flows.octets[smtp].astype(np.float64)
+    days = (flows.start_time[smtp] // _DAY_SECONDS).astype(np.int64)
+    base = int(days.min())
+    days -= base
+    return _Deliveries(
+        sources=sources.astype(np.uint32),
+        messages=np.bincount(inverse, minlength=sources.size).astype(np.int64),
+        size_sums=np.bincount(inverse, weights=sizes, minlength=sources.size),
+        size_sq_sums=np.bincount(
+            inverse, weights=sizes**2, minlength=sources.size
+        ),
+        day_keys=pack64(inverse, days),
+        base=base,
+    )
 
 
 @dataclass(frozen=True)
@@ -97,31 +157,18 @@ class SpamAggregates:
     @classmethod
     def from_flows(cls, flows: FlowLog) -> "SpamAggregates":
         """Aggregate the SMTP deliveries of any span of flows."""
-        smtp_mask = (
-            (flows.protocol == Protocol.TCP)
-            & (flows.dst_port == _SMTP_PORT)
-            & flows.payload_bearing_mask()
-        )
-        smtp = flows.select(smtp_mask)
-        if len(smtp) == 0:
+        d = _deliveries(flows)
+        if d is None:
             return cls.empty()
-
-        sources, inverse = np.unique(smtp.src_addr, return_inverse=True)
-        counts = np.bincount(inverse, minlength=sources.size)
-
-        days = (smtp.start_time // _DAY_SECONDS).astype(np.int64)
-        source_days = np.unique(np.stack([inverse, days], axis=1), axis=0)
-        day_counts = np.bincount(source_days[:, 0], minlength=sources.size)
-
-        sizes = smtp.octets.astype(np.float64)
-        sums = np.bincount(inverse, weights=sizes, minlength=sources.size)
-        sq_sums = np.bincount(inverse, weights=sizes**2, minlength=sources.size)
+        # Every source index owns at least one delivery, so its keys
+        # start at the prefix sum of the message counts once sorted.
+        active = distinct_per_group(d.day_keys, repeat_offsets(d.messages)[:-1])
         return cls(
-            sources=sources.astype(np.uint32),
-            messages=counts.astype(np.int64),
-            active_days=day_counts.astype(np.int64),
-            size_sums=sums,
-            size_sq_sums=sq_sums,
+            sources=d.sources,
+            messages=d.messages,
+            active_days=active,
+            size_sums=d.size_sums,
+            size_sq_sums=d.size_sq_sums,
         )
 
     def merge(self, other: "SpamAggregates") -> "SpamAggregates":
@@ -191,7 +238,7 @@ class SpamPartial:
     size_sums: np.ndarray  # float64 (exact): sum of delivery sizes
     size_sq_sums: np.ndarray  # float64 (exact): sum of squared sizes
     day_sources: np.ndarray  # uint32: distinct (source, day) pairs,
-    day_values: np.ndarray  # int64:  lex-sorted parallel columns
+    day_values: np.ndarray  # int64:  sorted by (source, day)
 
     @classmethod
     def empty(cls) -> "SpamPartial":
@@ -207,29 +254,17 @@ class SpamPartial:
     @classmethod
     def from_flows(cls, flows: FlowLog) -> "SpamPartial":
         """Accumulate the SMTP deliveries of any span of flows."""
-        smtp_mask = (
-            (flows.protocol == Protocol.TCP)
-            & (flows.dst_port == _SMTP_PORT)
-            & flows.payload_bearing_mask()
-        )
-        smtp = flows.select(smtp_mask)
-        if len(smtp) == 0:
+        d = _deliveries(flows)
+        if d is None:
             return cls.empty()
-
-        sources, inverse = np.unique(smtp.src_addr, return_inverse=True)
-        counts = np.bincount(inverse, minlength=sources.size)
-        days = (smtp.start_time // _DAY_SECONDS).astype(np.int64)
-        pairs = np.unique(np.stack([inverse, days], axis=1), axis=0)
-        sizes = smtp.octets.astype(np.float64)
+        source_ids, days = unpack64(sort_unique(d.day_keys), d.base)
         return cls(
-            sources=sources.astype(np.uint32),
-            messages=counts.astype(np.int64),
-            size_sums=np.bincount(inverse, weights=sizes, minlength=sources.size),
-            size_sq_sums=np.bincount(
-                inverse, weights=sizes**2, minlength=sources.size
-            ),
-            day_sources=sources[pairs[:, 0]].astype(np.uint32),
-            day_values=pairs[:, 1],
+            sources=d.sources,
+            messages=d.messages,
+            size_sums=d.size_sums,
+            size_sq_sums=d.size_sq_sums,
+            day_sources=d.sources[source_ids],
+            day_values=days,
         )
 
     def merge(self, other: "SpamPartial") -> "SpamPartial":
@@ -260,19 +295,15 @@ class SpamPartial:
             np.add.at(out, index, np.concatenate(arrays))
             return out
 
-        day_sources = np.concatenate([p.day_sources for p in parts])
-        day_values = np.concatenate([p.day_values for p in parts])
-        order = np.lexsort((day_values, day_sources))
-        day_sources = day_sources[order]
-        day_values = day_values[order]
-        if day_sources.size:
-            keep = np.empty(day_sources.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = (day_sources[1:] != day_sources[:-1]) | (
-                day_values[1:] != day_values[:-1]
-            )
-            day_sources = day_sources[keep]
-            day_values = day_values[keep]
+        base = min(int(p.day_values.min()) for p in parts)
+        day_sources, day_values = unpack64(
+            sort_unique(
+                np.concatenate(
+                    [pack64(p.day_sources, p.day_values - base) for p in parts]
+                )
+            ),
+            base,
+        )
 
         return cls(
             sources=union,

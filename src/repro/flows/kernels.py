@@ -18,10 +18,17 @@ loop:
   which is how the TRW detector finds every source's first threshold
   crossing;
 * :func:`pack64` / :func:`segment_bounds` / :func:`grouped_sum` — the
-  packed-key grouping trio behind the columnar scan detector: two
-  32-bit-ranged columns packed into one ``uint64`` sort key, run
+  packed-key grouping trio behind the columnar detectors: two
+  32-bit-ranged columns packed into one ``uint64`` sort key (split again
+  by :func:`unpack64`), run
   boundaries of the sorted keys, and exact per-run sums via
-  ``np.add.reduceat``.
+  ``np.add.reduceat``;
+* :func:`regroup` / :func:`distinct_per_group` / :func:`sort_unique` —
+  distinct values per group without a row-table
+  ``np.unique(axis=0)``: a run-sorted key array is overwritten in place
+  with ``(run index << 32) | value`` and sorted in place, after which
+  each group's distinct values are its neighbour-diff count (or, for
+  the mergeable aggregates, the distinct keys themselves).
 
 All kernels are deterministic given the RNG: each draws a fixed number
 of variates that depends only on the input shapes.
@@ -41,8 +48,12 @@ __all__ = [
     "grouped_cumsum",
     "segment_first_true",
     "pack64",
+    "unpack64",
     "segment_bounds",
     "grouped_sum",
+    "regroup",
+    "distinct_per_group",
+    "sort_unique",
 ]
 
 
@@ -125,18 +136,53 @@ def pack64(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Pack two 32-bit-ranged columns into one ``uint64`` sort key.
 
     Sorting the packed key is exactly the lexicographic sort on
-    ``(hi, lo)``, so one ``np.sort``/``np.lexsort`` pass replaces a
+    ``(hi, lo)``, so a single-key sort replaces ``np.lexsort`` and a
     row-table ``np.unique(axis=0)``.  Both inputs must already lie in
     ``[0, 2**32)``; values outside that range would alias other keys,
-    so they raise.
+    so they raise.  The result is the only full-size allocation: ``lo``
+    is shifted in without a ``uint64`` copy.
     """
-    hi = np.asarray(hi)
-    lo = np.asarray(lo)
-    if hi.size and (hi.min() < 0 or hi.max() >> 32):
-        raise ValueError("pack64 hi column out of uint32 range")
-    if lo.size and (lo.min() < 0 or lo.max() >> 32):
-        raise ValueError("pack64 lo column out of uint32 range")
-    return (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+    keys = _uint32_ranged(hi, "pack64 hi column").astype(np.uint64)
+    np.left_shift(keys, np.uint64(32), out=keys)
+    _or_low_word(keys, _uint32_ranged(lo, "pack64 lo column"))
+    return keys
+
+
+def unpack64(keys: np.ndarray, base: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Split :func:`pack64` keys back into ``(hi, lo + base)``.
+
+    ``hi`` comes back as ``uint32`` and ``lo`` as ``int64`` with
+    ``base`` added, undoing the rebase callers apply before packing.
+    """
+    lo = (keys & np.uint64(0xFFFFFFFF)).view(np.int64)
+    lo += base
+    return (keys >> np.uint64(32)).astype(np.uint32), lo
+
+
+def _uint32_ranged(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as an array, raising unless it lies in ``[0, 2**32)``."""
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() >> 32):
+        raise ValueError(f"{what} out of uint32 range")
+    return values
+
+
+def _or_low_word(keys: np.ndarray, low: np.ndarray) -> None:
+    """``keys |= low`` in place, without a ``uint64`` copy of ``low``.
+
+    ``low`` is range-checked by :func:`_uint32_ranged`, so the unsafe
+    cast is exact.
+    """
+    np.bitwise_or(keys, low, out=keys, dtype=np.uint64, casting="unsafe")
+
+
+def _first_of_run(sorted_keys: np.ndarray) -> np.ndarray:
+    """``True`` at the first position of every run of equal keys."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    if sorted_keys.size:
+        first[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
 
 def segment_bounds(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,13 +193,7 @@ def segment_bounds(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     outputs of ``np.unique`` without re-sorting an already sorted array.
     """
     keys = np.asarray(sorted_keys)
-    if keys.size == 0:
-        empty = np.asarray([], dtype=np.int64)
-        return empty, empty
-    boundary = np.empty(keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
+    starts = np.flatnonzero(_first_of_run(keys))
     counts = np.diff(np.append(starts, keys.size))
     return starts, counts
 
@@ -163,14 +203,63 @@ def grouped_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
     ``starts`` are segment start positions (as from
     :func:`segment_bounds`); integer inputs stay integer, and boolean
-    masks count as ``int64`` (``np.add.reduceat`` would OR them).
+    masks count as ``int64`` (``np.add.reduceat`` would OR them), with
+    no ``int64`` copy of the mask.
     """
     values = np.asarray(values)
-    if values.dtype == bool:
-        values = values.astype(np.int64)
+    dtype = np.int64 if values.dtype == bool else values.dtype
     if starts.size == 0:
-        return np.zeros(0, dtype=values.dtype)
-    return np.add.reduceat(values, starts)
+        return np.zeros(0, dtype=dtype)
+    return np.add.reduceat(values, starts, dtype=dtype)
+
+
+def regroup(
+    sorted_keys: np.ndarray, starts: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Overwrite run-sorted keys with ``(run index << 32) | values``.
+
+    ``sorted_keys`` is a ``uint64`` array whose runs of equal keys begin
+    at ``starts`` (as from :func:`segment_bounds`); ``values`` are
+    ``uint32``-ranged and aligned with it.  The key array is reused as
+    the output buffer — run ids are written with an in-place
+    ``np.cumsum`` — so keep ``sorted_keys[starts]`` first if the group
+    keys are still needed.  Run ids increase with position, so the runs
+    (and ``starts``) survive any later sort of the result, which is how
+    :func:`distinct_per_group` counts each run's distinct values.
+    """
+    values = _uint32_ranged(values, "regroup values")
+    keys = sorted_keys
+    keys.fill(0)
+    keys[starts[1:]] = 1
+    np.cumsum(keys, out=keys)
+    np.left_shift(keys, np.uint64(32), out=keys)
+    _or_low_word(keys, values)
+    return keys
+
+
+def sort_unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``, which is sorted **in place**.
+
+    :func:`repro.ipspace.addr.unique_sorted` without its defensive
+    copy, for key arrays the caller built and no longer needs.
+    """
+    keys.sort()
+    return keys[_first_of_run(keys)]
+
+
+def distinct_per_group(keys: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Distinct values per group of packed ``(group << 32) | value`` keys.
+
+    ``keys`` is sorted **in place**; ``starts`` are where each group's
+    run begins once sorted (the exclusive prefix sums of the group
+    sizes, or the :func:`segment_bounds` starts that :func:`regroup`
+    preserves), so every group must own at least one key.  Returns the
+    ``int64`` count of distinct values of each group — the
+    ``np.unique(np.stack([group, value], axis=1), axis=0)`` row table
+    and its per-group ``bincount`` in one in-place sort.
+    """
+    keys.sort()
+    return grouped_sum(_first_of_run(keys), starts)
 
 
 def grouped_cumsum(

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
+from repro.flows.kernels import distinct_per_group, pack64, repeat_offsets
 from repro.flows.record import (
     HEADER_BYTES_PER_PACKET,
     PAYLOAD_BEARING_MIN_BYTES,
@@ -250,10 +251,9 @@ class FlowLog:
         """Distinct destination count per source address."""
         if len(self) == 0:
             return {}
-        pairs = np.unique(
-            np.stack([self.src_addr, self.dst_addr], axis=1), axis=0
-        )
-        sources, counts = np.unique(pairs[:, 0], return_counts=True)
+        sources, inverse = np.unique(self.src_addr, return_inverse=True)
+        starts = repeat_offsets(np.bincount(inverse))[:-1]
+        counts = distinct_per_group(pack64(inverse, self.dst_addr), starts)
         return {int(s): int(c) for s, c in zip(sources, counts)}
 
     def payload_bearing_sources(self) -> np.ndarray:

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.prediction import BETTER_PREDICTOR_LEVEL, prediction_test
+from repro.core.prediction import (
+    BETTER_PREDICTOR_LEVEL,
+    prediction_test,
+    prediction_test_blocks,
+)
 from repro.core.report import Report
 
 
@@ -127,3 +131,40 @@ class TestPredictionTest:
             past, present, wide_control(), rng, prefixes=(16,), subsets=30
         )
         assert result.control[16].maximum <= len(past)
+
+
+class TestPredictionTestBlocks:
+    CONTROL = {24: np.array([0, 1, 2, 3]), 16: np.array([0, 0, 1, 1])}
+
+    def _run(self, predicted, present):
+        return prediction_test_blocks(
+            predicted, present, self.CONTROL, (24, 16), "past", "present"
+        )
+
+    def test_observed_counts_are_set_intersections(self):
+        predicted = [
+            np.array([10, 20, 30, 40], dtype=np.uint32),
+            np.array([7], dtype=np.uint32),
+        ]
+        present = [
+            np.array([5, 20, 40, 41], dtype=np.uint32),
+            np.array([], dtype=np.uint32),
+        ]
+        result = self._run(predicted, present)
+        assert result.observed == {24: 2, 16: 0}
+        assert result.exceedance[24] == pytest.approx(0.5)
+        for n, pred, pres in zip((24, 16), predicted, present):
+            expected = len(set(pred.tolist()) & set(pres.tolist()))
+            assert result.observed[n] == expected
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([3, 1, 2]), np.array([1, 2, 2, 3])],
+        ids=["unsorted", "duplicate"],
+    )
+    @pytest.mark.parametrize("side", ["predicted", "present"])
+    def test_non_canonical_blocks_rejected(self, bad, side):
+        good = np.array([1, 2, 3])
+        predicted = [bad if side == "predicted" else good, good]
+        present = [bad if side == "present" else good, good]
+        with pytest.raises(ValueError, match=f"{side} blocks at /24"):
+            self._run(predicted, present)

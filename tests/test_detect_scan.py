@@ -182,8 +182,18 @@ from hypothesis import strategies as st
 from repro.detect.scan import ScanAggregates
 
 
+#: Addresses at both ends of the uint32 range, where a packed key's
+#: high and low words are all zeros or all ones.
+EXTREME_ADDRESSES = st.sampled_from([0, 1, 0x7FFFFFFF, 0xFFFFFFFE, 0xFFFFFFFF])
+
+
 @st.composite
-def flow_arrays(draw):
+def flow_arrays(
+    draw,
+    sources_from=st.integers(min_value=0, max_value=3),
+    dsts_from=st.integers(min_value=1000, max_value=1007),
+    max_hour=4,
+):
     """Adversarial flow logs for the scan kernel.
 
     Sources are drawn from a tiny pool (so single /32s repeat densely),
@@ -192,19 +202,13 @@ def flow_arrays(draw):
     triples duplicate freely.
     """
     n = draw(st.integers(min_value=0, max_value=120))
-    sources = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=3), min_size=n, max_size=n
-        )
-    )
-    dsts = draw(
-        st.lists(
-            st.integers(min_value=1000, max_value=1007), min_size=n, max_size=n
-        )
-    )
+    sources = draw(st.lists(sources_from, min_size=n, max_size=n))
+    dsts = draw(st.lists(dsts_from, min_size=n, max_size=n))
     # Offsets of a few seconds either side of an exact hour boundary.
     hours = draw(
-        st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n)
+        st.lists(
+            st.integers(min_value=0, max_value=max_hour), min_size=n, max_size=n
+        )
     )
     jitter = draw(
         st.lists(
@@ -251,6 +255,18 @@ class TestKernelMatchesReference:
         reference = detector.detect_reference(flows)
         assert fast.dtype == reference.dtype == np.uint32
         assert np.array_equal(fast, reference)
+
+    @settings(max_examples=80, deadline=None)
+    @given(flow_arrays(EXTREME_ADDRESSES, EXTREME_ADDRESSES, max_hour=1))
+    def test_extreme_addresses_equal_reference(self, flows):
+        detector = ScanDetector(ScanDetectorConfig(min_targets=2))
+        assert np.array_equal(
+            detector.detect(flows), detector.detect_reference(flows)
+        )
+        assert np.array_equal(
+            ScanAggregates.from_flows(flows).flagged(detector.config),
+            detector.detect_reference(flows),
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(flow_arrays())
@@ -308,3 +324,54 @@ class TestKernelMatchesReference:
         assert np.array_equal(out, agg.flagged(ScanDetectorConfig()))
         out = ScanAggregates.empty().merge(agg).flagged(ScanDetectorConfig())
         assert np.array_equal(out, agg.flagged(ScanDetectorConfig()))
+
+
+class TestKernelEdgeCases:
+    """Degenerate shapes of the packed-key kernel, each against the
+    row-table reference and the aggregate form."""
+
+    @staticmethod
+    def _agree(log, config):
+        detector = ScanDetector(config)
+        fast = detector.detect(log)
+        assert np.array_equal(fast, detector.detect_reference(log))
+        assert np.array_equal(
+            ScanAggregates.from_flows(log).flagged(config), fast
+        )
+        return fast
+
+    def test_empty_log(self):
+        config = ScanDetectorConfig(min_targets=1)
+        assert self._agree(FlowLog.empty(), config).size == 0
+        assert ScanAggregates.from_flows(FlowLog.empty()).group_count == 0
+
+    @pytest.mark.parametrize("src", [0, 0xFFFFFFFF])
+    @pytest.mark.parametrize("dst", [0, 0xFFFFFFFF])
+    def test_single_flow(self, src, dst):
+        log = build_log([(src, dst, TCPFlags.SYN, 5 * 3600.0)])
+        flagged = self._agree(log, ScanDetectorConfig(min_targets=1))
+        assert flagged.tolist() == [src]
+        agg = ScanAggregates.from_flows(log)
+        assert agg.triple_sources.tolist() == [src]
+        assert agg.triple_dsts.tolist() == [dst]
+        assert agg.hours.tolist() == agg.triple_hours.tolist() == [5]
+
+    def test_every_flow_in_one_source_hour(self):
+        entries = [
+            (0xFFFFFFFF, d, TCPFlags.SYN, 3600.0 + d % 3599)
+            for d in [0, 0xFFFFFFFF, *range(1, 40)]
+        ]
+        log = build_log(entries)
+        assert self._agree(log, ScanDetectorConfig()).tolist() == [0xFFFFFFFF]
+        agg = ScanAggregates.from_flows(log)
+        assert agg.group_count == 1
+        assert agg.flow_totals.tolist() == agg.failed_totals.tolist() == [41]
+        assert agg.triple_dsts.size == 41
+
+    def test_all_duplicate_triples(self):
+        log = build_log([(0, 0xFFFFFFFF, TCPFlags.SYN, 7200.0 + t) for t in range(50)])
+        assert self._agree(log, ScanDetectorConfig(min_targets=2)).size == 0
+        assert self._agree(log, ScanDetectorConfig(min_targets=1)).tolist() == [0]
+        agg = ScanAggregates.from_flows(log)
+        assert agg.flow_totals.tolist() == [50]
+        assert agg.triple_dsts.tolist() == [0xFFFFFFFF]

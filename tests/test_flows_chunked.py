@@ -247,3 +247,94 @@ class TestDetectorEquivalence:
         )
         for det in detectors:
             assert np.array_equal(det.detect_chunked(chunked), det.detect(flows))
+
+
+# -- any split, including mid-hour and mid-day cuts -------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_HOUR, _DAY = 3600.0, 86_400.0
+
+#: Low thresholds so small generated windows flag something.
+_FOLD_DETECTORS = (
+    ScanDetector(ScanDetectorConfig(min_targets=2, min_failed_fraction=0.5)),
+    SpamDetector(
+        SpamDetectorConfig(min_messages=2, min_daily_rate=1.0, max_size_cv=5.0)
+    ),
+    TRWDetector(),
+)
+
+
+@st.composite
+def boundary_windows(draw):
+    """Time-ordered windows whose flows sit within seconds of hour and
+    midnight boundaries, so a cut between neighbours often splits one
+    ``(source, hour)`` or ``(source, day)`` group across chunks."""
+    n = draw(st.integers(min_value=0, max_value=90))
+    address = st.sampled_from([0, 1, 2, 0xFFFFFFFE, 0xFFFFFFFF])
+    boundary = st.sampled_from([_HOUR, 2 * _HOUR, _DAY, _DAY + _HOUR, 2 * _DAY])
+    start = np.sort(
+        np.asarray(
+            [
+                max(draw(boundary) + draw(st.integers(-4, 4)), 0.0)
+                for _ in range(n)
+            ],
+            dtype=np.float64,
+        )
+    )
+    column = lambda strategy, dtype: np.asarray(  # noqa: E731
+        [draw(strategy) for _ in range(n)], dtype=dtype
+    )
+    return FlowLog(
+        src_addr=column(address, np.uint32),
+        dst_addr=column(address, np.uint32),
+        src_port=np.full(n, 40_000, dtype=np.uint16),
+        dst_port=column(st.sampled_from([25, 25, 80]), np.uint16),
+        protocol=column(st.sampled_from([6, 6, 17]), np.uint8),
+        packets=np.full(n, 2, dtype=np.uint32),
+        octets=column(st.sampled_from([90, 1200, 1300]), np.uint64),
+        tcp_flags=column(st.sampled_from([2, 18, 24]), np.uint8),
+        start_time=start,
+        end_time=start + 1.0,
+    )
+
+
+class TestAnySplitFold:
+    @settings(max_examples=80, deadline=None)
+    @given(boundary_windows(), st.lists(st.integers(0, 90), max_size=6))
+    def test_fold_equals_whole_for_any_cuts(self, flows, cuts):
+        n = len(flows)
+        bounds = sorted({0, n, *(min(c, n) for c in cuts)})
+        parts = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            mask = np.zeros(n, dtype=bool)
+            mask[lo:hi] = True
+            parts.append(flows.select(mask))
+        for det in _FOLD_DETECTORS:
+            assert np.array_equal(det.detect_chunked(parts), det.detect(flows))
+
+    def test_cut_inside_one_hour_and_day(self):
+        # One source's fan-out and deliveries straddle a cut in the middle
+        # of a single hour of a single day.
+        n = 12
+        start = _DAY + _HOUR + np.arange(n, dtype=np.float64)
+        flows = FlowLog(
+            src_addr=np.full(n, 0xFFFFFFFF, dtype=np.uint32),
+            dst_addr=np.arange(n, dtype=np.uint32) % 4,
+            src_port=np.full(n, 40_000, dtype=np.uint16),
+            dst_port=np.full(n, 25, dtype=np.uint16),
+            protocol=np.full(n, 6, dtype=np.uint8),
+            packets=np.full(n, 2, dtype=np.uint32),
+            octets=np.full(n, 1200, dtype=np.uint64),
+            tcp_flags=np.where(np.arange(n) % 2, 24, 2).astype(np.uint8),
+            start_time=start,
+            end_time=start + 1.0,
+        )
+        for cut in range(n + 1):
+            keep = np.arange(n) < cut
+            parts = [flows.select(keep), flows.select(~keep)]
+            for det in _FOLD_DETECTORS[:2]:
+                whole = det.detect(flows)
+                assert whole.tolist() == [0xFFFFFFFF]
+                assert np.array_equal(det.detect_chunked(parts), whole)

@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flows.kernels import (
+    distinct_per_group,
     grouped_cumsum,
+    grouped_sum,
+    pack64,
+    regroup,
     repeat_offsets,
     sample_day_segments,
+    segment_bounds,
     segment_first_true,
     segment_ids,
     segment_positions,
+    sort_unique,
+    unpack64,
 )
 
 
@@ -159,3 +166,70 @@ class TestSegmentFirstTrue:
     def test_empty(self):
         empty = np.asarray([], dtype=np.int64)
         assert segment_first_true(np.asarray([], dtype=bool), empty, empty).size == 0
+
+
+class TestPackedGrouping:
+    def test_pack64_orders_lexicographically(self):
+        hi = np.array([2, 1, 0xFFFFFFFF, 1], dtype=np.uint32)
+        lo = np.array([0, 0xFFFFFFFF, 0, 3], dtype=np.int64)
+        keys = pack64(hi, lo)
+        assert keys.dtype == np.uint64
+        assert np.argsort(keys).tolist() == np.lexsort((lo, hi)).tolist()
+        back_hi, back_lo = unpack64(keys)
+        assert back_hi.dtype == np.uint32 and back_lo.dtype == np.int64
+        assert back_hi.tolist() == hi.tolist()
+        assert back_lo.tolist() == lo.tolist()
+        assert unpack64(keys, base=-5)[1].tolist() == (lo - 5).tolist()
+
+    @pytest.mark.parametrize("hi,lo", [([-1], [0]), ([0], [2**32]), ([2**32], [0])])
+    def test_pack64_rejects_out_of_range(self, hi, lo):
+        with pytest.raises(ValueError, match="out of uint32 range"):
+            pack64(np.array(hi, dtype=np.int64), np.array(lo, dtype=np.int64))
+
+    def test_grouped_sum_counts_bools(self):
+        mask = np.array([True, True, False, True])
+        out = grouped_sum(mask, np.array([0, 2]))
+        assert out.dtype == np.int64 and out.tolist() == [2, 1]
+        assert grouped_sum(mask[:0], np.array([], dtype=np.int64)).dtype == np.int64
+
+    def test_regroup_reuses_the_buffer(self):
+        keys = np.array([5, 5, 9, 9, 9], dtype=np.uint64)
+        starts, _ = segment_bounds(keys)
+        out = regroup(keys, starts, np.array([7, 0, 0xFFFFFFFF, 1, 1], np.uint32))
+        assert out is keys
+        assert (out >> np.uint64(32)).tolist() == [0, 0, 1, 1, 1]
+        assert distinct_per_group(out, starts).tolist() == [2, 2]
+
+    def test_regroup_rejects_wide_values(self):
+        keys = np.zeros(2, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            regroup(keys, np.array([0]), np.array([0, 2**32], dtype=np.int64))
+
+    def test_sort_unique(self):
+        keys = np.array([3, 1, 3, 0, 1], dtype=np.uint64)
+        assert sort_unique(keys).tolist() == [0, 1, 3]
+        assert sort_unique(keys[:0]).size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([0, 1, 2, 0xFFFFFFFE, 0xFFFFFFFF]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_distinct_per_group_matches_row_table(self, rows):
+        groups = np.array([g for g, _ in rows], dtype=np.int64)
+        values = np.array([v for _, v in rows], dtype=np.uint32)
+        # Dense group ids, as np.unique(return_inverse=True) produces.
+        _, groups = np.unique(groups, return_inverse=True)
+        sizes = np.bincount(groups)
+        table = np.unique(np.stack([groups, values.astype(np.int64)], axis=1), axis=0)
+        expected = np.bincount(table[:, 0], minlength=sizes.size)
+        counts = distinct_per_group(
+            pack64(groups, values), repeat_offsets(sizes)[:-1]
+        )
+        assert counts.tolist() == expected.tolist()

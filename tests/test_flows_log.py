@@ -134,3 +134,16 @@ class TestAggregates:
 
     def test_fanout_empty(self):
         assert FlowLog.empty().fanout_by_source() == {}
+
+    def test_fanout_matches_set_oracle_at_range_ends(self):
+        rng = np.random.default_rng(5)
+        ends = np.array([0, 1, 0xFFFFFFFE, 0xFFFFFFFF], dtype=np.uint32)
+        pairs = rng.choice(ends, size=(200, 2))
+        batch = FlowBatch()
+        for src, dst in pairs:
+            batch.add(int(src), int(dst), 1, 2, Protocol.TCP, 1, 40, 0, 0.0)
+        expected = {}
+        for src, dst in {(int(s), int(d)) for s, d in pairs}:
+            expected[src] = expected.get(src, 0) + 1
+        log = FlowLog.from_batches([batch])
+        assert log.fanout_by_source() == expected

@@ -1,11 +1,18 @@
-"""Guard: address and block sets never go through numpy's hash unique.
+"""Guard: address and block sets never go through numpy's slow uniques.
 
 On numpy >= 2.3 a plain ``np.unique(x)`` on integers (and
 ``np.union1d``, which calls it) builds a hash table, ~100x slower than
 sort plus a neighbour diff on ``uint32`` sets.  Library code uses
 :func:`repro.ipspace.addr.unique_sorted` instead.  ``np.unique`` calls
-that ask for ``return_index``/``return_inverse``/``return_counts`` or
-``axis=`` take numpy's sort path and are fine.
+that ask for ``return_index``/``return_inverse``/``return_counts``
+take numpy's sort path and are fine.
+
+``np.unique(..., axis=...)`` is rejected too, whatever else it asks
+for: the row-table form sorts a structured view of stacked columns.
+Pack the columns into one ``uint64`` key instead
+(:func:`repro.flows.kernels.pack64`) and count distinct values per
+group with :func:`repro.flows.kernels.distinct_per_group`.  Only the
+reference oracles in ``ALLOWED`` keep the textbook formulation.
 """
 
 import ast
@@ -14,7 +21,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Sort-path keywords: with any of these ``np.unique`` never hashes.
-SORT_PATH_KEYWORDS = {"return_index", "return_inverse", "return_counts", "axis"}
+SORT_PATH_KEYWORDS = {"return_index", "return_inverse", "return_counts"}
 
 #: Reference oracles kept in their original numpy formulation on purpose:
 #: they exist to pin the fast kernels to the textbook computation.
@@ -47,7 +54,9 @@ class _Finder(ast.NodeVisitor):
             and func.value.id in {"np", "numpy"}
         ):
             keywords = {kw.arg for kw in node.keywords}
-            if func.attr == "union1d" or (
+            if func.attr == "unique" and "axis" in keywords:
+                self.hits.append((".".join(self.scope), node.lineno, "unique(axis=)"))
+            elif func.attr == "union1d" or (
                 func.attr == "unique" and not keywords & SORT_PATH_KEYWORDS
             ):
                 self.hits.append((".".join(self.scope), node.lineno, func.attr))
@@ -73,8 +82,8 @@ def test_no_hash_unique_in_library_code():
         if (rel, scope) not in ALLOWED
     ]
     assert not offenders, (
-        "use repro.ipspace.addr.unique_sorted for address/block sets:\n"
-        + "\n".join(offenders)
+        "use repro.ipspace.addr.unique_sorted for address/block sets and "
+        "pack64 + distinct_per_group for row tables:\n" + "\n".join(offenders)
     )
 
 
@@ -91,8 +100,12 @@ def test_guard_flags_hash_calls():
         "    np.union1d(x, y)\n"
         "    np.unique(x, return_counts=True)\n"
         "    np.unique(x, axis=0)\n"
+        "    np.unique(x, axis=0, return_counts=True)\n"
+        "    np.unique(x, return_inverse=True)\n"
     ))
     assert [(line, attr) for _, line, attr in finder.hits] == [
         (2, "unique"),
         (3, "union1d"),
+        (5, "unique(axis=)"),
+        (6, "unique(axis=)"),
     ]
